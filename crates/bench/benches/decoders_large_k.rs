@@ -15,12 +15,8 @@
 //!
 //! # Smoke mode
 //!
-//! Setting `BENCH_SMOKE=1` trims every entry to a single iteration.  The
-//! per-iteration means stay comparable to the checked-in baseline (each
-//! iteration is a full decode/session either way); only the averaging
-//! shrinks.  CI runs the suite in smoke mode and gates on
-//! `crates/bench/src/bin/perf_gate.rs` comparing the output against the
-//! baseline.
+//! CI runs the suite with `BENCH_SMOKE=1` (one iteration per entry, handled
+//! by the `criterion` shim) and gates on `crates/bench/src/bin/perf_gate.rs`.
 
 use backscatter_codes::message::Message;
 use backscatter_phy::complex::Complex;
@@ -139,18 +135,9 @@ fn run_session(
     stream.len()
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_large_k(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_large_k");
-    group.sample_size(samples(5));
+    group.sample_size(5);
 
     for &k in &[32usize, 64] {
         group.bench_with_input(BenchmarkId::new("bit_flipping_sparse", k), &k, |b, &k| {
@@ -165,7 +152,7 @@ fn bench_decoders_large_k(c: &mut Criterion) {
     // once per decode schedule.  This is the headline number behind the
     // worklist refactor — FullPass re-derives every bit position on every
     // slot, Worklist only revisits perturbed positions.
-    group.sample_size(samples(3));
+    group.sample_size(3);
     for &k in &[32usize, 64] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);
         group.bench_with_input(BenchmarkId::new("session_full_pass", k), &k, |b, _| {

@@ -11,9 +11,8 @@
 //!
 //! # Smoke mode
 //!
-//! Setting `BENCH_SMOKE=1` trims every entry to a single iteration (each
-//! iteration is a full session either way), which is how CI runs the suite
-//! before gating on `crates/bench/src/bin/perf_gate.rs`.
+//! CI runs the suite with `BENCH_SMOKE=1` (one iteration per entry, handled
+//! by the `criterion` shim) and gates on `crates/bench/src/bin/perf_gate.rs`.
 
 use backscatter_codes::message::Message;
 use backscatter_phy::complex::Complex;
@@ -109,18 +108,9 @@ fn run_session(
     stream.len()
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_message_passing(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_message_passing");
-    group.sample_size(samples(3));
+    group.sample_size(3);
 
     // Static sessions: the apples-to-apples cost of the soft schedule next
     // to the worklist bit-flipper on the workloads both decode.

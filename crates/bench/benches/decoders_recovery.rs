@@ -12,9 +12,8 @@
 //!
 //! # Smoke mode
 //!
-//! Setting `BENCH_SMOKE=1` trims every entry to a single iteration (each
-//! iteration is a full session either way), which is how CI runs the suite
-//! before gating on `crates/bench/src/bin/perf_gate.rs`.
+//! CI runs the suite with `BENCH_SMOKE=1` (one iteration per entry, handled
+//! by the `criterion` shim) and gates on `crates/bench/src/bin/perf_gate.rs`.
 
 use backscatter_sim::faults::{ReaderRestart, SlotErasure};
 use backscatter_sim::scenario::{Scenario, ScenarioBuilder};
@@ -38,18 +37,9 @@ fn run_session(protocol: &ResilientBuzzProtocol, mut scenario: Scenario, noise_s
     outcome.delivered_messages as u64
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_recovery");
-    group.sample_size(samples(3));
+    group.sample_size(3);
 
     let protocol =
         ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();

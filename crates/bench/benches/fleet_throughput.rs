@@ -13,9 +13,8 @@
 //!
 //! # Smoke mode
 //!
-//! Setting `BENCH_SMOKE=1` trims every entry to a single iteration (each
-//! iteration is a full fleet run either way), which is how CI runs the suite
-//! before gating on `crates/bench/src/bin/perf_gate.rs`.
+//! CI runs the suite with `BENCH_SMOKE=1` (one iteration per entry, handled
+//! by the `criterion` shim) and gates on `crates/bench/src/bin/perf_gate.rs`.
 
 use backscatter_fleet::{run_fleet, FleetConfig};
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
@@ -32,18 +31,9 @@ fn config(readers: usize) -> FleetConfig {
     }
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_fleet_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_throughput");
-    group.sample_size(samples(3));
+    group.sample_size(3);
 
     let protocol = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,

@@ -96,9 +96,15 @@ impl CommonFlags {
             match arg.as_str() {
                 "--plan" => flags.plan = value("--plan")?,
                 "--locations" => {
+                    // Zero locations would run nothing and print empty
+                    // tables; plans store the count as a signed
+                    // canonical-JSON integer.
+                    let max = i64::MAX as u64;
                     flags.locations = value("--locations")?
                         .parse()
-                        .map_err(|_| "bad --locations".to_string())?;
+                        .ok()
+                        .filter(|n| (1..=max).contains(n))
+                        .ok_or_else(|| format!("bad --locations: expected 1..={max}"))?;
                 }
                 "--seed" => {
                     flags.seed = value("--seed")?

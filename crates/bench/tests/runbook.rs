@@ -212,6 +212,36 @@ fn diff_localizes_a_corrupted_job() {
     }
 }
 
+/// `--locations` outside `1..=i64::MAX` is refused with exit 2 on every
+/// subcommand: zero would print empty tables, and larger counts would be
+/// recorded as negative numbers in the plan's canonical JSON.
+#[test]
+fn reproduce_binary_rejects_out_of_range_locations() {
+    let bin = env!("CARGO_BIN_EXE_reproduce");
+    let reproduce = |args: &[&str]| Command::new(bin).args(args).output().expect("spawn");
+    let plan = |locations| reproduce(&["plan", "--plan", "fig9", "--locations", locations]);
+    let refused = [
+        reproduce(&["fig10", "--locations", "0"]),
+        plan("0"),
+        plan("-1"),
+        plan("9223372036854775808"),
+        plan("18446744073709551615"),
+    ];
+    for (case, output) in refused.iter().enumerate() {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "case {case}: {stderr}");
+        assert!(output.stdout.is_empty(), "case {case} printed output");
+        assert!(stderr.contains("bad --locations"), "case {case}: {stderr}");
+    }
+    let output = plan("9223372036854775807");
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("\"locations\":9223372036854775807"),
+        "{stdout}"
+    );
+}
+
 /// Drives the real binary the way CI does: three shards at two threads
 /// merged against a serial single-process run, `diff` exit code checked,
 /// and the merged figures byte-compared to the legacy `--json` output.

@@ -76,8 +76,10 @@ impl SparseBinaryMatrix {
         }
     }
 
-    /// Builds both flat indices from an unsorted coordinate list in one pass
+    /// Builds both flat indices from an unsorted coordinate list by sorting it
     /// (duplicates allowed; out-of-range coordinates must be pre-checked).
+    /// Builders that can produce their ones column by column use
+    /// [`Self::from_columns`] instead, which needs no sort.
     fn from_coo(rows: usize, cols: usize, ones: &mut Vec<(usize, usize)>) -> Self {
         ones.sort_unstable();
         ones.dedup();
@@ -102,6 +104,63 @@ impl SparseBinaryMatrix {
         for &(r, c) in ones.iter() {
             col_rows[next_in_col[c]] = r;
             next_in_col[c] += 1;
+        }
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            row_cols,
+            col_ptr,
+            col_rows,
+            neighbors: None,
+        }
+    }
+
+    /// Builds both flat indices in `O(rows + cols + nnz)` from columns
+    /// generated in order: `fill(c, out)` appends the rows of column `c`'s
+    /// ones to `out`, strictly ascending and below `rows`.
+    ///
+    /// The appended rows *are* the CSC stream, so `col_ptr`/`col_rows` are
+    /// written directly; the same pass counts each row's occupancy.  One
+    /// counting transpose then fills CSR, and because it walks the columns in
+    /// ascending order every row segment comes out sorted by column — no sort
+    /// of the entry list is needed.
+    fn from_columns(
+        rows: usize,
+        cols: usize,
+        mut fill: impl FnMut(usize, &mut Vec<usize>),
+    ) -> Self {
+        let mut col_ptr = Vec::with_capacity(cols + 1);
+        col_ptr.push(0);
+        let mut col_rows = Vec::new();
+        let mut row_ptr = vec![0usize; rows + 1];
+        for c in 0..cols {
+            let start = col_rows.len();
+            fill(c, &mut col_rows);
+            let seg = &col_rows[start..];
+            debug_assert!(
+                seg.windows(2).all(|w| w[0] < w[1]),
+                "column {c} rows unsorted"
+            );
+            debug_assert!(
+                seg.last().is_none_or(|&r| r < rows),
+                "column {c} row out of range"
+            );
+            for &r in seg {
+                row_ptr[r + 1] += 1;
+            }
+            col_ptr.push(col_rows.len());
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut row_cols = vec![0usize; col_rows.len()];
+        let mut next_in_row = row_ptr.clone();
+        for c in 0..cols {
+            for &r in &col_rows[col_ptr[c]..col_ptr[c + 1]] {
+                row_cols[next_in_row[r]] = c;
+                next_in_row[r] += 1;
+            }
         }
         Self {
             rows,
@@ -145,17 +204,17 @@ impl SparseBinaryMatrix {
     ///
     /// Both the simulator's tags and the reader's decoder call this with the
     /// same seeds, so they construct the same matrix independently.
+    ///
+    /// Cost: one [`NodeSeed::participates_in_slot`] draw per `(slot, seed)`
+    /// pair, plus `O(slots + seeds + nnz)` to lay out both indices.  Each
+    /// seed's column is generated slot by slot, which is already CSC order
+    /// with rows ascending, and CSR is derived by one counting transpose; the
+    /// entries are never sorted.
     #[must_use]
     pub fn from_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        let mut coo = Vec::new();
-        for (col, seed) in seeds.iter().enumerate() {
-            for row in 0..slots {
-                if seed.participates_in_slot(row as u64, p) {
-                    coo.push((row, col));
-                }
-            }
-        }
-        Self::from_coo(slots, seeds.len(), &mut coo)
+        Self::from_seed_columns(slots, seeds, |seed, slot| {
+            seed.participates_in_slot(slot, p)
+        })
     }
 
     /// Builds the identification-phase sensing matrix `A`: entry `(slot, id)`
@@ -164,17 +223,41 @@ impl SparseBinaryMatrix {
     ///
     /// Uses [`NodeSeed::sensing_in_slot`], which is domain-separated from the
     /// data-phase stream so `A` and `D` are independent.
+    ///
+    /// Cost: one [`NodeSeed::sensing_in_slot`] draw per `(slot, id)` pair,
+    /// plus `O(slots + seeds + nnz)` to lay out both indices.  Each id's
+    /// column is generated slot by slot, which is already CSC order with rows
+    /// ascending, and CSR is derived by one counting transpose; the entries
+    /// are never sorted.  Identification's stage 3 rebuilds `A` over every
+    /// surviving candidate id each round, so this build is on its hot path.
     #[must_use]
     pub fn from_sensing_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        let mut coo = Vec::new();
-        for (col, seed) in seeds.iter().enumerate() {
+        Self::from_seed_columns(slots, seeds, |seed, slot| seed.sensing_in_slot(slot, p))
+    }
+
+    /// The shared body of the seed-derived builders: column `c` holds the
+    /// slots where `one(seeds[c], slot)` draws a 1.
+    ///
+    /// Each column is written without a data-dependent branch: every slot
+    /// index is stored and the write cursor advances only past the ones.
+    /// With `p = 0.5` a branch on the draw mispredicts half the time, which
+    /// cost more than the draws themselves.
+    fn from_seed_columns(
+        slots: usize,
+        seeds: &[NodeSeed],
+        one: impl Fn(NodeSeed, u64) -> bool,
+    ) -> Self {
+        Self::from_columns(slots, seeds.len(), |col, out| {
+            let seed = seeds[col];
+            let start = out.len();
+            out.resize(start + slots, 0);
+            let mut end = start;
             for row in 0..slots {
-                if seed.sensing_in_slot(row as u64, p) {
-                    coo.push((row, col));
-                }
+                out[end] = row;
+                end += usize::from(one(seed, row as u64));
             }
-        }
-        Self::from_coo(slots, seeds.len(), &mut coo)
+            out.truncate(end);
+        })
     }
 
     /// Number of rows.
@@ -417,13 +500,13 @@ impl SparseBinaryMatrix {
                 });
             }
         }
-        let mut coo = Vec::new();
-        for (new_col, &old_col) in columns.iter().enumerate() {
-            for &row in self.col(old_col) {
-                coo.push((row, new_col));
-            }
-        }
-        Ok(Self::from_coo(self.rows, columns.len(), &mut coo))
+        Ok(Self::from_columns(
+            self.rows,
+            columns.len(),
+            |new_col, out| {
+                out.extend_from_slice(self.col(columns[new_col]));
+            },
+        ))
     }
 
     /// Multiplies the matrix by a real vector (`y = M · x`), used by tests and
@@ -551,6 +634,31 @@ mod tests {
         assert_ne!(a, d);
     }
 
+    /// Column and row lists recorded from the sort-based builders these
+    /// replaced: the seed-derived matrices must not change by a single entry,
+    /// since identification outcomes and every figure are keyed on them.
+    #[test]
+    fn seed_builders_match_recorded_golden_entries() {
+        let seeds = [NodeSeed(0), NodeSeed(12_345), NodeSeed(u64::MAX)];
+        let a = SparseBinaryMatrix::from_sensing_seeds(24, &seeds, 0.5);
+        assert_eq!(
+            a.col(0),
+            &[0, 1, 7, 9, 12, 13, 14, 16, 18, 19, 20, 21, 22, 23]
+        );
+        assert_eq!(a.col(1), &[2, 3, 4, 6, 7, 11, 15, 16, 17, 18, 19, 20]);
+        assert_eq!(a.col(2), &[0, 2, 3, 11, 16, 17, 19, 20, 23]);
+        assert_eq!(a.row(0), &[0, 2]);
+        assert!(a.row(5).is_empty());
+        assert_eq!(a.row(23), &[0, 2]);
+        let d = SparseBinaryMatrix::from_seeds(24, &seeds, 0.3);
+        assert_eq!(d.col(0), &[5, 6, 8]);
+        assert_eq!(d.col(1), &[0, 4, 5, 6, 8, 12, 14, 15, 16, 21, 23]);
+        assert_eq!(d.col(2), &[5, 7, 8, 11, 20]);
+        assert_eq!(d.row(0), &[1]);
+        assert_eq!(d.row(5), &[0, 1, 2]);
+        assert_eq!(d.row(23), &[1]);
+    }
+
     #[test]
     fn density_tracks_probability() {
         let seeds: Vec<NodeSeed> = (0..50).map(NodeSeed).collect();
@@ -658,5 +766,74 @@ mod tests {
         let m = SparseBinaryMatrix::zeros(2, 2);
         assert!(m.row(10).is_empty());
         assert!(m.col(10).is_empty());
+    }
+
+    /// Checks `built` against the sort-based [`SparseBinaryMatrix::from_ones`]
+    /// over the per-entry decisions `one(slot, col)`, in every view.
+    fn assert_matches_from_ones(
+        built: &SparseBinaryMatrix,
+        slots: usize,
+        cols: usize,
+        one: impl Fn(usize, usize) -> bool,
+    ) -> Result<(), proptest::TestCaseError> {
+        let ones: Vec<(usize, usize)> = (0..cols)
+            .flat_map(|c| (0..slots).map(move |r| (r, c)))
+            .filter(|&(r, c)| one(r, c))
+            .collect();
+        let reference = SparseBinaryMatrix::from_ones(slots, cols, &ones).unwrap();
+        proptest::prop_assert!(built == &reference);
+        proptest::prop_assert_eq!((built.rows(), built.cols()), (slots, cols));
+        proptest::prop_assert_eq!(built.nnz(), ones.len());
+        for r in 0..slots {
+            let row = built.row(r);
+            proptest::prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} unsorted", r);
+            proptest::prop_assert_eq!(row, reference.row(r));
+        }
+        for c in 0..cols {
+            proptest::prop_assert_eq!(built.col(c), reference.col(c));
+            for r in 0..slots {
+                proptest::prop_assert_eq!(built.get(r, c), one(r, c));
+            }
+        }
+        // Column selection shares the sort-free builder: reversing the column
+        // order must match a from_ones rebuild of the remapped entries.
+        let reversed: Vec<usize> = (0..cols).rev().collect();
+        let remapped: Vec<(usize, usize)> = ones.iter().map(|&(r, c)| (r, cols - 1 - c)).collect();
+        proptest::prop_assert!(
+            built.select_columns(&reversed).unwrap()
+                == SparseBinaryMatrix::from_ones(slots, cols, &remapped).unwrap()
+        );
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The sort-free seed builders produce exactly the matrix the
+        /// sort-based `from_ones` builds from the same per-entry seed
+        /// decisions, across slot counts at and around a word boundary,
+        /// degenerate and random probabilities, and ids near `u64::MAX`.
+        #[test]
+        fn seed_builders_match_from_ones(
+            slot_pick in 0usize..6,
+            random_slots in 0usize..301,
+            p_pick in 0usize..3,
+            random_p in 0.0f64..1.0,
+            n_ids in 0usize..24,
+            first_id in proptest::prelude::any::<u64>(),
+            near_max in proptest::prelude::any::<bool>(),
+        ) {
+            let slots = [0, 1, 63, 64, 65, random_slots][slot_pick];
+            let p = [0.0, 1.0, random_p][p_pick];
+            let seeds: Vec<NodeSeed> = (0..n_ids as u64)
+                .map(|i| NodeSeed(if near_max { u64::MAX - i } else { first_id.wrapping_add(i) }))
+                .collect();
+            let a = SparseBinaryMatrix::from_sensing_seeds(slots, &seeds, p);
+            assert_matches_from_ones(&a, slots, n_ids, |r, c| {
+                seeds[c].sensing_in_slot(r as u64, p)
+            })?;
+            let d = SparseBinaryMatrix::from_seeds(slots, &seeds, p);
+            assert_matches_from_ones(&d, slots, n_ids, |r, c| {
+                seeds[c].participates_in_slot(r as u64, p)
+            })?;
+        }
     }
 }

@@ -242,6 +242,8 @@ impl Identifier {
         // interference bursts) across all three stages; a no-op on static
         // media.
         let mut slot_clock: u64 = 0;
+        // One per-tag bit buffer, refilled for every slot of all three stages.
+        let mut bits: Vec<bool> = Vec::with_capacity(scenario.tags().len());
 
         // ---- Stage 1: estimate K -------------------------------------------------
         // Reader trigger.
@@ -264,7 +266,8 @@ impl Identifier {
             }
             let mut empty = 0;
             for _ in 0..self.config.estimator.slots_per_step {
-                let bits: Vec<bool> = tag_streams.iter_mut().map(BiasedBits::next_bit).collect();
+                bits.clear();
+                bits.extend(tag_streams.iter_mut().map(BiasedBits::next_bit));
                 slots.estimation += 1;
                 time_s += timing.uplink_symbol_s();
                 medium.begin_slot(slot_clock);
@@ -334,7 +337,8 @@ impl Identifier {
                 .collect();
             let mut occupied = vec![false; num_buckets];
             for bucket in 0..num_buckets {
-                let bits: Vec<bool> = tag_bucket.iter().map(|&b| b == bucket).collect();
+                bits.clear();
+                bits.extend(tag_bucket.iter().map(|&b| b == bucket));
                 slots.bucket += 1;
                 time_s += timing.uplink_symbol_s();
                 medium.begin_slot(slot_clock);
@@ -381,12 +385,10 @@ impl Identifier {
             // ...and the on-air measurements produced by the actual tags.
             let mut measurements: Vec<Complex> = Vec::with_capacity(m);
             for slot in 0..m {
-                let bits: Vec<bool> = assignments
-                    .iter()
-                    .map(|&id| {
-                        NodeSeed(id).sensing_in_slot(slot as u64, self.config.sensing_probability)
-                    })
-                    .collect();
+                bits.clear();
+                bits.extend(assignments.iter().map(|&id| {
+                    NodeSeed(id).sensing_in_slot(slot as u64, self.config.sensing_probability)
+                }));
                 slots.compressive += 1;
                 time_s += timing.uplink_symbol_s();
                 medium.begin_slot(slot_clock);

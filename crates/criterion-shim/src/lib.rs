@@ -7,8 +7,18 @@
 //! [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher::iter`], [`black_box`],
 //! [`criterion_group!`] and [`criterion_main!`] — with a simple
 //! wall-clock-mean measurement loop instead of criterion's statistical
-//! machinery. Swapping in the real crate later is a one-line manifest
-//! change; no bench source needs to be touched.
+//! machinery.
+//!
+//! # Smoke mode
+//!
+//! With the `BENCH_SMOKE` environment variable set (to any value), every
+//! benchmark times a single iteration whatever its group's
+//! [`BenchmarkGroup::sample_size`], after one untimed warm-up call. Each
+//! iteration is a whole measured unit either way, and the warm-up keeps
+//! first-call costs (cold caches, lazily faulted pages) out of the one
+//! timed iteration, so the per-iteration means stay comparable to a full
+//! run; only the averaging shrinks. This is how CI's perf gate runs the
+//! suites.
 
 #![warn(missing_docs)]
 
@@ -60,12 +70,17 @@ impl From<String> for BenchmarkId {
 #[derive(Debug)]
 pub struct Bencher {
     iters: u64,
+    /// Whether to call the routine once, untimed, before timing (smoke mode).
+    warm_up: bool,
     elapsed: Duration,
 }
 
 impl Bencher {
     /// Times `routine` over this bencher's iteration budget.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        if self.warm_up {
+            black_box(routine());
+        }
         let start = Instant::now();
         for _ in 0..self.iters {
             black_box(routine());
@@ -77,15 +92,16 @@ impl Bencher {
 /// A named collection of related benchmarks sharing configuration.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
     name: String,
     sample_size: u64,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets how many iterations each benchmark runs (criterion's sample count).
+    /// Sets how many iterations each benchmark runs (criterion's sample
+    /// count); in smoke mode every benchmark times one iteration regardless.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1) as u64;
+        self.sample_size = self.criterion.iterations(n);
         self
     }
 
@@ -96,10 +112,7 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into();
-        let mut bencher = Bencher {
-            iters: self.sample_size,
-            elapsed: Duration::ZERO,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher);
         self.report(&id, &bencher);
         self
@@ -113,13 +126,18 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let id = id.into();
-        let mut bencher = Bencher {
-            iters: self.sample_size,
-            elapsed: Duration::ZERO,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher, input);
         self.report(&id, &bencher);
         self
+    }
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
+            iters: self.sample_size,
+            warm_up: self.criterion.smoke,
+            elapsed: Duration::ZERO,
+        }
     }
 
     /// Finishes the group (no summary statistics in the shim).
@@ -138,16 +156,38 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Entry point mirroring `criterion::Criterion`.
-#[derive(Debug, Default)]
-pub struct Criterion {}
+#[derive(Debug)]
+pub struct Criterion {
+    /// Smoke mode: one iteration per benchmark (see the crate docs).
+    smoke: bool,
+}
+
+impl Default for Criterion {
+    /// Reads smoke mode from the `BENCH_SMOKE` environment variable.
+    fn default() -> Self {
+        Self {
+            smoke: std::env::var_os("BENCH_SMOKE").is_some(),
+        }
+    }
+}
 
 impl Criterion {
     /// Creates a benchmark group named `name`.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
+        let sample_size = self.iterations(10);
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name: name.to_string(),
-            sample_size: 10,
+            sample_size,
+        }
+    }
+
+    /// The iteration count for a requested sample size `n`.
+    fn iterations(&self, n: usize) -> u64 {
+        if self.smoke {
+            1
+        } else {
+            n.max(1) as u64
         }
     }
 
@@ -203,6 +243,22 @@ mod tests {
     #[test]
     fn group_macro_compiles_and_runs() {
         benches();
+    }
+
+    #[test]
+    fn smoke_mode_times_one_iteration_after_a_warm_up() {
+        // Calls per benchmark: the timed iterations, plus the smoke warm-up.
+        for (smoke, default_iters, sized_iters) in [(false, 10, 3), (true, 2, 2)] {
+            let mut criterion = Criterion { smoke };
+            let mut group = criterion.benchmark_group("smoke");
+            let mut calls = 0u64;
+            group.bench_function("default", |b| b.iter(|| calls += 1));
+            assert_eq!(calls, default_iters);
+            group.sample_size(3);
+            calls = 0;
+            group.bench_function("sized", |b| b.iter(|| calls += 1));
+            assert_eq!(calls, sized_iters);
+        }
     }
 
     #[test]
